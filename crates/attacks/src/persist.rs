@@ -68,6 +68,7 @@ use std::path::Path;
 use usb_data::SyntheticSpec;
 use usb_nn::layer::Layer;
 use usb_nn::serde::{read_network, write_network, write_network_dtype};
+use usb_nn::Network;
 use usb_tensor::io::{
     expect_magic, expect_version, read_f32, read_f64, read_str, read_tensor, read_u32, read_u64,
     write_f32, write_f64, write_str, write_tensor, write_u16, write_u32, write_u64, IoError,
@@ -367,6 +368,7 @@ pub fn read_victim(r: &mut impl Read) -> Result<VictimBundle, IoError> {
             return Err(IoError::format(format!("unknown ground-truth tag {other}")));
         }
     };
+    check_recipe_fits_model(&data_spec, &model)?;
     Ok(VictimBundle {
         victim: Victim {
             model,
@@ -378,6 +380,25 @@ pub fn read_victim(r: &mut impl Read) -> Result<VictimBundle, IoError> {
         data_spec,
         data_seed,
     })
+}
+
+/// Rejects a bundle whose data recipe cannot feed its model: inspection
+/// regenerates the dataset from the recipe and runs it through the model,
+/// so a recipe whose image shape or class count disagrees with the
+/// decoded architecture would otherwise only fail as a shape panic deep
+/// inside the first forward pass.
+fn check_recipe_fits_model(spec: &SyntheticSpec, model: &Network) -> Result<(), IoError> {
+    let arch = model.arch();
+    let recipe = (spec.channels, spec.height, spec.width);
+    if recipe == arch.input && spec.num_classes == arch.num_classes {
+        return Ok(());
+    }
+    let (c, h, w) = arch.input;
+    Err(IoError::format(format!(
+        "data recipe {:?} ({}x{}x{} images, {} classes) does not fit the model \
+         ({c}x{h}x{w} input, {} classes)",
+        spec.name, spec.channels, spec.height, spec.width, spec.num_classes, arch.num_classes
+    )))
 }
 
 /// Saves a bundle to `path` (creating parent directories), writing through
@@ -493,6 +514,50 @@ mod tests {
             .with_train_size(60)
             .with_test_size(20)
             .with_classes(4)
+    }
+
+    /// Encodes an untrained `(1, 12, 12)`, 4-class network with `spec` as
+    /// its data recipe and decodes it again.
+    fn decode_with_recipe(spec: SyntheticSpec) -> Result<VictimBundle, IoError> {
+        let arch = Architecture::new(ModelKind::BasicCnn, (1, 12, 12), 4).with_width(4);
+        let mut bundle = VictimBundle {
+            victim: Victim {
+                model: arch.build(&mut StdRng::seed_from_u64(1)),
+                clean_accuracy: 0.0,
+                ground_truth: GroundTruth::Clean,
+            },
+            train_seed: 0,
+            config_hash: 0,
+            data_spec: spec,
+            data_seed: 0,
+        };
+        let mut buf = Vec::new();
+        write_victim(&mut buf, &mut bundle).unwrap();
+        read_victim(&mut buf.as_slice())
+    }
+
+    #[test]
+    fn recipe_that_does_not_fit_the_model_is_a_clean_error() {
+        assert!(
+            decode_with_recipe(tiny_spec()).is_ok(),
+            "a fitting recipe must load"
+        );
+        let mut rgb = tiny_spec();
+        rgb.channels = 3;
+        let misfits = [
+            ("size", tiny_spec().with_size(16)),
+            ("classes", tiny_spec().with_classes(5)),
+            ("channels", rgb),
+        ];
+        for (what, spec) in misfits {
+            match decode_with_recipe(spec) {
+                Err(IoError::Format(msg)) => {
+                    assert!(msg.contains("does not fit the model"), "{what}: {msg}")
+                }
+                Err(e) => panic!("{what}: unexpected error kind: {e}"),
+                Ok(_) => panic!("{what}: a misfitting recipe decoded"),
+            }
+        }
     }
 
     fn roundtrip(bundle: &mut VictimBundle) -> VictimBundle {

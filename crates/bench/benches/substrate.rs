@@ -11,11 +11,15 @@ use std::hint::black_box;
 use std::time::Duration;
 use usb_core::{deepfool, DeepfoolConfig, UsbDetector};
 use usb_defenses::Defense;
-use usb_nn::layer::Mode;
+use usb_nn::layer::{Layer, Mode};
+use usb_nn::layers::SiLU;
 use usb_nn::optim::TensorAdam;
-use usb_tensor::conv::{conv2d_backward, conv2d_forward, conv2d_forward_ws, ConvSpec};
+use usb_tensor::conv::{
+    conv2d_backward, conv2d_forward, conv2d_forward_ws, depthwise_forward_ws,
+    depthwise_input_backward_ws, ConvSpec,
+};
 use usb_tensor::ssim::{ssim, ssim_with_grad, ssim_with_grad_ws};
-use usb_tensor::{init, ops, par, Dtype, QTensor, Tensor, Workspace};
+use usb_tensor::{init, ops, par, Dtype, QTensor, Tape, Tensor, Workspace};
 
 fn configure(c: &mut Criterion) -> &mut Criterion {
     c
@@ -112,6 +116,63 @@ fn bench_conv(c: &mut Criterion) {
     });
 }
 
+/// The EfficientNet stage-2 depthwise conv (24 channels, 3×3, stride 2,
+/// pad 1, 20×20 → 10×10) at the refine batch of 16, forward and input
+/// adjoint, on warm workspaces — the two kernels `infer_recording` and
+/// `grad` spend most of the EfficientNet victim's depthwise time in.
+fn bench_depthwise(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let x = init::uniform(&[16, 24, 20, 20], -1.0, 1.0, &mut rng);
+    let w = init::uniform(&[24, 1, 3, 3], -0.5, 0.5, &mut rng);
+    let spec = ConvSpec::new(2, 1);
+    let mut ws = Workspace::new();
+    c.bench_function("substrate/depthwise_forward_b16", |bench| {
+        bench.iter(|| {
+            let y = depthwise_forward_ws(&x, &w, None, spec, &mut ws);
+            black_box(y.data()[0]);
+            ws.recycle(y);
+        })
+    });
+    let go = init::uniform(&[16, 24, 10, 10], -1.0, 1.0, &mut rng);
+    c.bench_function("substrate/depthwise_input_backward_b16", |bench| {
+        bench.iter(|| {
+            let gi = depthwise_input_backward_ws(&w, &go, 20, 20, spec, &mut ws);
+            black_box(gi.data()[0]);
+            ws.recycle(gi);
+        })
+    });
+}
+
+/// SiLU on the EfficientNet stage-2 expansion output (`[16, 24, 20, 20]`):
+/// one recorded inference, and one record→grad cycle (the tape pops only
+/// what was recorded, so the grad cost is the difference of the two).
+fn bench_silu(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let x = init::uniform(&[16, 24, 20, 20], -4.0, 4.0, &mut rng);
+    let go = init::uniform(&[16, 24, 20, 20], -1.0, 1.0, &mut rng);
+    let silu = SiLU::new();
+    let mut ws = Workspace::new();
+    let mut tape = Tape::new();
+    c.bench_function("substrate/silu_record_b16", |bench| {
+        bench.iter(|| {
+            tape.begin();
+            let y = silu.infer_recording(&x, &mut tape, &mut ws);
+            black_box(y.data()[0]);
+            ws.recycle(y);
+        })
+    });
+    c.bench_function("substrate/silu_grad_b16", |bench| {
+        bench.iter(|| {
+            tape.begin();
+            let y = silu.infer_recording(&x, &mut tape, &mut ws);
+            let gi = silu.grad(&go, &mut tape, &mut ws);
+            black_box(gi.data()[0]);
+            ws.recycle(y);
+            ws.recycle(gi);
+        })
+    });
+}
+
 fn bench_ssim(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let x = init::uniform(&[16, 3, 12, 12], 0.0, 1.0, &mut rng);
@@ -130,6 +191,21 @@ fn bench_ssim(c: &mut Criterion) {
             ws.recycle(grad);
         })
     });
+    // The two victim shapes the refine loop blurs: the EfficientNet
+    // victim's 20×20 RGB images (a 10×10 blur output) and the ResNet
+    // victim's 12×12 grey ones (a 2×2 output).
+    for (name, shape) in [("effnet", [16, 3, 20, 20]), ("resnet", [16, 1, 12, 12])] {
+        let x = init::uniform(&shape, 0.0, 1.0, &mut rng);
+        let y = init::uniform(&shape, 0.0, 1.0, &mut rng);
+        let mut ws = Workspace::new();
+        c.bench_function(&format!("substrate/ssim_with_grad_{name}_b16"), |bench| {
+            bench.iter(|| {
+                let (val, grad) = ssim_with_grad_ws(&x, &y, &mut ws);
+                black_box(val);
+                ws.recycle(grad);
+            })
+        });
+    }
 }
 
 /// The allocation win of the inference path, measured instead of
@@ -257,6 +333,8 @@ fn benches(c: &mut Criterion) {
     bench_matmul(c);
     bench_elementwise(c);
     bench_conv(c);
+    bench_depthwise(c);
+    bench_silu(c);
     bench_ssim(c);
     bench_par_map(c);
     bench_infer_vs_forward(c);

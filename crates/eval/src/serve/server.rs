@@ -56,6 +56,7 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -628,7 +629,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
             }
         };
         let Some(job) = job else { break };
-        let answer = run_job(&job, &mut cache, shared);
+        let answer = run_job_isolated(&job, &mut cache, shared);
         // Release the job's admission slot *before* answering: a client
         // that resubmits the moment it sees the verdict must not bounce
         // off its own still-occupied `running` count.
@@ -660,6 +661,30 @@ fn scheduler_loop(shared: &Arc<Shared>) {
             },
         );
     }
+}
+
+/// [`run_job`] behind a panic boundary: a job that panics — a bundle whose
+/// decoded contents trip an assertion somewhere in regeneration or
+/// inspection — is answered with an [`Frame::Error`] and counted as
+/// failed, and the scheduler thread lives on to serve the next job. The
+/// resident cache stays consistent: [`ResidentCache::get`] decodes and
+/// regenerates before it touches its entries, and inspection only reads
+/// them.
+fn run_job_isolated(job: &Job, cache: &mut ResidentCache, shared: &Arc<Shared>) -> Frame {
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_job(job, cache, shared)));
+    outcome.unwrap_or_else(|payload| {
+        shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+        let reason = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic payload".to_owned());
+        Frame::Error {
+            tag: job.req.tag,
+            job: job.job,
+            message: format!("inspection panicked: {reason}"),
+        }
+    })
 }
 
 /// Runs one inspection end to end, streaming progress on the job's

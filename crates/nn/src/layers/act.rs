@@ -135,14 +135,23 @@ impl Sigmoid {
     }
 }
 
-/// Scalar logistic sigmoid used by several layers and losses.
+/// Scalar logistic sigmoid used by the sigmoid and SiLU layers.
+///
+/// The numerically stable two-branch form — `1/(1+e^{-x})` for `x >= 0`,
+/// `e^x/(1+e^x)` otherwise — without the branch, which a sign-mixed
+/// activation map mispredicts half the time. Both sides take `exp` of
+/// `-|x|`, formed by setting the sign bit (a NaN keeps its own bits, as
+/// the `x < 0` side passed it), and differ only in the numerator, `1` or
+/// `e`, selected on bits. Each side performs the same operations on the
+/// same operands as its branch did, so results are bit-identical to the
+/// two-branch form (pinned by
+/// `branch_free_sigmoid_matches_two_branch_form`).
 pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let sign = u32::from(!x.is_nan()) << 31;
+    let e = f32::from_bits(x.to_bits() | sign).exp();
+    let nonneg = u32::from(x >= 0.0).wrapping_neg();
+    let num = f32::from_bits((nonneg & 1.0f32.to_bits()) | (!nonneg & e.to_bits()));
+    num / (1.0 + e)
 }
 
 impl Layer for Sigmoid {
@@ -195,6 +204,11 @@ impl Layer for Sigmoid {
 
 /// SiLU / swish activation `x · sigmoid(x)`, the nonlinearity used by
 /// EfficientNet.
+///
+/// The tape route records the local derivative `σ + x·σ·(1 − σ)` rather
+/// than the input, so `grad` is one multiply per element with no `exp`;
+/// the product `g · d` is the very expression `backward` evaluates, so the
+/// two routes agree bit for bit.
 #[derive(Debug, Default)]
 pub struct SiLU {
     cached_input: Option<Tensor>,
@@ -237,16 +251,23 @@ impl Layer for SiLU {
     }
 
     fn infer_recording(&self, x: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
-        tape.push().vals.extend_from_slice(x.data());
-        map_into(x, ws, |v| v * sigmoid_scalar(v))
+        // One sigmoid per element feeds both the output and the recorded
+        // derivative (the factor `backward` applies); the frame stays the
+        // size of the input.
+        let mut out = ws.take_dirty(x.len());
+        tape.push()
+            .vals
+            .extend(out.iter_mut().zip(x.data()).map(|(o, &v)| {
+                let s = sigmoid_scalar(v);
+                *o = v * s;
+                s + v * s * (1.0 - s)
+            }));
+        Tensor::from_vec(out, x.shape())
     }
 
     fn grad(&self, grad_out: &Tensor, tape: &mut Tape, ws: &mut Workspace) -> Tensor {
         let frame = tape.pop();
-        let gi = zip_grad_into(grad_out, &frame.vals, ws, |g, v| {
-            let s = sigmoid_scalar(v);
-            g * (s + v * s * (1.0 - s))
-        });
+        let gi = zip_grad_into(grad_out, &frame.vals, ws, |g, d| g * d);
         tape.recycle(frame);
         gi
     }
@@ -310,6 +331,108 @@ mod tests {
         assert!((y.data()[1] - 0.5).abs() < 1e-6);
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
         finite_diff(&mut s, &Tensor::from_vec(vec![-0.8, 0.2, 1.3], &[3]));
+    }
+
+    /// The numerically stable two-branch sigmoid: the reference
+    /// `sigmoid_scalar` must match bit for bit.
+    fn sigmoid_two_branch(x: f32) -> f32 {
+        if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        }
+    }
+
+    /// Signed zeros, infinities, quiet and signalling NaNs of both signs,
+    /// subnormals, the edges where `exp` overflows (`ln f32::MAX`) and
+    /// underflows to subnormal and to zero, where `1 + e^{-x}` rounds to 1
+    /// (`ln 2^24`), and tiny `|x|`, each with its neighbours; then a
+    /// strided sweep of every 4099th bit pattern — about a million inputs
+    /// spread over all 2^32.
+    fn edge_and_sweep_inputs() -> Vec<f32> {
+        let mut xs: Vec<f32> = [
+            0x0000_0000u32,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0000,
+            0xffc0_0000,
+            0x7f80_0001,
+            0xff80_0001,
+            0x7fc1_2345,
+            0xffc1_2345,
+            0x0000_0001,
+            0x8000_0001,
+            0x007f_ffff,
+            0x807f_ffff,
+            0x0080_0000,
+            0x8080_0000,
+            0x7f7f_ffff,
+            0xff7f_ffff,
+        ]
+        .iter()
+        .map(|&b| f32::from_bits(b))
+        .collect();
+        for edge in [88.722_83f32, 87.336_55, 103.278_93, 104.0, 16.635_532, 1e-8] {
+            for v in [edge, edge.next_up(), edge.next_down()] {
+                xs.extend([v, -v]);
+            }
+        }
+        xs.extend((0..=u32::MAX).step_by(4099).map(f32::from_bits));
+        xs
+    }
+
+    #[test]
+    fn branch_free_sigmoid_matches_two_branch_form() {
+        for x in edge_and_sweep_inputs() {
+            assert_eq!(
+                sigmoid_scalar(x).to_bits(),
+                sigmoid_two_branch(x).to_bits(),
+                "sigmoid({x:e}) [bits {:#010x}]",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn silu_tape_route_matches_legacy_route_bitwise() {
+        let xs = edge_and_sweep_inputs();
+        let gs = [
+            1.0f32,
+            -0.5,
+            0.0,
+            -0.0,
+            3.25,
+            f32::INFINITY,
+            f32::NAN,
+            1e-40,
+        ];
+        let n = xs.len();
+        let x = Tensor::from_vec(xs, &[n]);
+        let go = Tensor::from_fn(&[n], |i| gs[i % gs.len()]);
+        let mut legacy = SiLU::new();
+        let y_legacy = legacy.forward(&x, Mode::Eval);
+        let g_legacy = legacy.backward(&go);
+        let (mut tape, mut ws) = (Tape::new(), Workspace::new());
+        let silu = SiLU::new();
+        let y_tape = silu.infer_recording(&x, &mut tape, &mut ws);
+        let g_tape = silu.grad(&go, &mut tape, &mut ws);
+        // Where a NaN input meets a NaN gradient in one multiply, which
+        // payload survives depends on the operand order the compiler picks
+        // (Rust leaves the payload of a NaN result unspecified), so NaN
+        // results need only agree on being NaN; every other result must
+        // match bit for bit.
+        for (what, a, b) in [("output", &y_tape, &y_legacy), ("grad", &g_tape, &g_legacy)] {
+            for (i, (p, q)) in a.data().iter().zip(b.data()).enumerate() {
+                assert!(
+                    p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
+                    "silu {what} at x = {:e}, g = {:e}: {p:e} vs {q:e}",
+                    x.data()[i],
+                    go.data()[i]
+                );
+            }
+        }
     }
 
     #[test]

@@ -478,28 +478,7 @@ pub fn depthwise_input_backward_ws(
             let ker = &wd[ch * kh * kw..(ch + 1) * kh * kw];
             let go = &god[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
             let gi = &mut grad_input[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = go[oy * ow + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ky in 0..kh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let pix = iy as usize * w + ix as usize;
-                            gi[pix] += g * ker[ky * kw + kx];
-                        }
-                    }
-                }
-            }
+            conv_single_adjoint_into(go, oh, ow, ker, kh, kw, spec, h, w, gi);
         }
     }
     Tensor::from_vec(grad_input, &[n, c, h, w])
@@ -836,14 +815,33 @@ pub fn depthwise_backward(
     )
 }
 
-/// Convolves a single-channel image with a single kernel (used by SSIM's
-/// gaussian blur and the depthwise kernels). Writes into `out`.
+/// The output positions `o0..o1` along one axis whose tap `k` lands
+/// inside an input extent `n`, i.e. `0 <= o·stride + k − pad < n`. Every
+/// position outside the range is exactly one a per-output loop skips for
+/// that tap.
+fn tap_range(k: usize, n: usize, out_n: usize, spec: ConvSpec) -> (usize, usize) {
+    let s = spec.stride;
+    let o0 = spec.pad.saturating_sub(k).div_ceil(s);
+    // The last in-bounds o satisfies o·s <= n − 1 + pad − k.
+    let o1 = match (n + spec.pad).checked_sub(k + 1) {
+        Some(last) => out_n.min(last / s + 1),
+        None => 0,
+    };
+    (o0.min(o1), o1)
+}
+
+/// Convolves a single-channel image with a single kernel: one plane of the
+/// depthwise forward. Writes into `out`.
 ///
-/// The unpadded case (SSIM's "valid" blur on every refine step) takes a
-/// branch-free tight loop; the accumulation order over `(ky, kx)` is the
-/// same in both branches, so results are bit-identical.
+/// Tap-major form: `out` starts at `bias`, then every tap `(ky, kx)` in
+/// ascending order adds `img · ker` to the block of outputs it reaches
+/// ([`tap_range`] along each axis), one contiguous output row at a time.
+/// Each element thus sees the same additions in the same order as a
+/// per-output loop that skips out-of-bounds taps, so results are
+/// bit-identical to it (pinned by `kernel_reference`), while the inner
+/// loop runs across output pixels instead of down a serial chain.
 #[allow(clippy::too_many_arguments)] // flat scalar kernel signature, hot path
-pub(crate) fn conv_single_into(
+fn conv_single_into(
     img: &[f32],
     h: usize,
     w: usize,
@@ -857,40 +855,90 @@ pub(crate) fn conv_single_into(
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     debug_assert_eq!(out.len(), oh * ow);
-    if spec.pad == 0 {
-        for oy in 0..oh {
-            let iy0 = oy * spec.stride;
-            for ox in 0..ow {
-                let ix0 = ox * spec.stride;
-                let mut acc = bias;
-                for ky in 0..kh {
-                    let irow = &img[(iy0 + ky) * w + ix0..(iy0 + ky) * w + ix0 + kw];
-                    for (&iv, &kv) in irow.iter().zip(&ker[ky * kw..(ky + 1) * kw]) {
-                        acc += iv * kv;
+    let s = spec.stride;
+    out.fill(bias);
+    for ky in 0..kh {
+        let (oy0, oy1) = tap_range(ky, h, oh, spec);
+        for kx in 0..kw {
+            let (ox0, ox1) = tap_range(kx, w, ow, spec);
+            if ox0 == ox1 {
+                continue;
+            }
+            let kv = ker[ky * kw + kx];
+            // First in-bounds input column of this tap.
+            let ix0 = ox0 * s + kx - spec.pad;
+            for oy in oy0..oy1 {
+                let iy = oy * s + ky - spec.pad;
+                let src = &img[iy * w + ix0..(iy + 1) * w];
+                let row = &mut out[oy * ow + ox0..oy * ow + ox1];
+                if s == 1 {
+                    for (o, &iv) in row.iter_mut().zip(src) {
+                        *o += iv * kv;
+                    }
+                } else {
+                    // `chunks(s)` starts a chunk at every s-th column.
+                    for (o, iv) in row.iter_mut().zip(src.chunks(s)) {
+                        *o += iv[0] * kv;
                     }
                 }
-                out[oy * ow + ox] = acc;
             }
         }
-        return;
     }
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let mut acc = bias;
-            for ky in 0..kh {
-                let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                for kx in 0..kw {
-                    let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
+}
+
+/// Scatters one `[OH, OW]` gradient plane through a single kernel onto the
+/// `[H, W]` input plane `out`, accumulating with `+=` (the caller zeroes
+/// it): the adjoint of [`conv_single_into`], behind the depthwise input
+/// gradient.
+///
+/// The per-output reference visits outputs `(oy, ox)` in ascending order,
+/// skips zero gradients, and scatters `g · ker` over the in-bounds taps.
+/// The tap-major form walks `ky` then `kx`, both **descending**, then the
+/// outputs each tap reaches. An input pixel meets each tap at most once,
+/// from the output `(oy, ox) = ((iy + pad − ky)/s, (ix + pad − kx)/s)`, so
+/// descending taps deliver its contributions in ascending `(oy, ox)`
+/// order, as the reference does. The zero skip is a per-lane select that
+/// leaves the pixel untouched (adding `±0` could flip a `-0.0`, and
+/// `0 · inf` would be NaN). Results are bit-identical to the reference.
+#[allow(clippy::too_many_arguments)] // flat scalar kernel signature, hot path
+fn conv_single_adjoint_into(
+    grad: &[f32],
+    oh: usize,
+    ow: usize,
+    ker: &[f32],
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+) {
+    let s = spec.stride;
+    for ky in (0..kh).rev() {
+        let (oy0, oy1) = tap_range(ky, h, oh, spec);
+        for kx in (0..kw).rev() {
+            let (ox0, ox1) = tap_range(kx, w, ow, spec);
+            if ox0 == ox1 {
+                continue;
+            }
+            let kv = ker[ky * kw + kx];
+            let ix0 = ox0 * s + kx - spec.pad;
+            for oy in oy0..oy1 {
+                let iy = oy * s + ky - spec.pad;
+                let grow = &grad[oy * ow + ox0..oy * ow + ox1];
+                let dst = &mut out[iy * w + ix0..(iy + 1) * w];
+                if s == 1 {
+                    for (o, &g) in dst.iter_mut().zip(grow) {
+                        let sum = *o + g * kv;
+                        *o = if g == 0.0 { *o } else { sum };
                     }
-                    acc += img[iy as usize * w + ix as usize] * ker[ky * kw + kx];
+                } else {
+                    for (o, &g) in dst.chunks_mut(s).zip(grow) {
+                        let sum = o[0] + g * kv;
+                        o[0] = if g == 0.0 { o[0] } else { sum };
+                    }
                 }
             }
-            out[oy * ow + ox] = acc;
         }
     }
 }
@@ -910,17 +958,62 @@ pub fn conv2d_valid_single(img: &Tensor, ker: &Tensor) -> Tensor {
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     let mut out = vec![0.0f32; oh * ow];
-    conv_single_into(img.data(), h, w, ker.data(), kh, kw, spec, 0.0, &mut out);
+    blur_valid_lanes_into(img.data(), 1, h, w, ker.data(), kh, kw, &mut out);
     Tensor::from_vec(out, &[oh, ow])
 }
 
-/// Slice-level [`conv2d_valid_single_adjoint`]: scatters the `[OH, OW]`
-/// gradient back onto the zero-filled-by-this-call `[H, W]` plane `out`
-/// (dirty workspace buffers are fine). Same scatter order as the tensor
-/// entry point, which wraps it — bit-identical by construction.
+/// Valid (no padding, stride 1) correlation of a stack of `lanes` planes,
+/// stored interleaved — element `i` of plane `l` at `i * lanes + l` — with
+/// one `[KH, KW]` kernel, into an interleaved `[OH·OW, lanes]` `out`
+/// (overwritten). SSIM's gaussian blur; one plane is
+/// [`conv2d_valid_single`].
+///
+/// Every output element starts at `0.0` and adds `img · ker` over the
+/// taps in ascending `(ky, kx)` order — the per-output loop, unchanged —
+/// while the innermost loop runs across the planes, whose chains are
+/// independent.
 #[allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
-pub(crate) fn conv_valid_adjoint_into(
+pub(crate) fn blur_valid_lanes_into(
+    src: &[f32],
+    lanes: usize,
+    h: usize,
+    w: usize,
+    ker: &[f32],
+    kh: usize,
+    kw: usize,
+    out: &mut [f32],
+) {
+    let (oh, ow) = (h + 1 - kh, w + 1 - kw);
+    debug_assert_eq!(src.len(), h * w * lanes);
+    debug_assert_eq!(out.len(), oh * ow * lanes);
+    for (o, acc) in out.chunks_exact_mut(lanes).enumerate() {
+        let (oy, ox) = (o / ow, o % ow);
+        acc.fill(0.0);
+        for ky in 0..kh {
+            let taps = &src[((oy + ky) * w + ox) * lanes..((oy + ky) * w + ox + kw) * lanes];
+            for (px, &kv) in taps.chunks_exact(lanes).zip(&ker[ky * kw..(ky + 1) * kw]) {
+                for (a, &v) in acc.iter_mut().zip(px) {
+                    *a += v * kv;
+                }
+            }
+        }
+    }
+}
+
+/// Adjoint of [`blur_valid_lanes_into`]: scatters an interleaved
+/// `[OH·OW, lanes]` gradient back onto the interleaved `[H·W, lanes]`
+/// `out`, which this call zero-fills first (dirty workspace buffers are
+/// fine).
+///
+/// Outputs are visited in ascending `(oy, ox)` order and each scatters
+/// `g · ker` over its window, so every input element receives its
+/// contributions in the per-output loop's order. A zero gradient leaves
+/// its lane untouched through a select, exactly as the per-output loop
+/// skips it.
+#[allow(clippy::too_many_arguments)] // flat scalar geometry, hot path
+pub(crate) fn blur_valid_lanes_adjoint_into(
     grad: &[f32],
+    lanes: usize,
     oh: usize,
     ow: usize,
     ker: &[f32],
@@ -929,16 +1022,20 @@ pub(crate) fn conv_valid_adjoint_into(
     w: usize,
     out: &mut [f32],
 ) {
+    debug_assert_eq!(grad.len(), oh * ow * lanes);
     out.fill(0.0);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let g = grad[oy * ow + ox];
-            if g == 0.0 {
-                continue;
-            }
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    out[(oy + ky) * w + (ox + kx)] += g * ker[ky * kw + kx];
+    for (o, g) in grad.chunks_exact(lanes).enumerate() {
+        let (oy, ox) = (o / ow, o % ow);
+        for ky in 0..kh {
+            let base = ((oy + ky) * w + ox) * lanes;
+            let taps = &mut out[base..base + kw * lanes];
+            for (px, &kv) in taps
+                .chunks_exact_mut(lanes)
+                .zip(&ker[ky * kw..(ky + 1) * kw])
+            {
+                for (a, &gv) in px.iter_mut().zip(g) {
+                    let sum = *a + gv * kv;
+                    *a = if gv == 0.0 { *a } else { sum };
                 }
             }
         }
@@ -961,7 +1058,7 @@ pub fn conv2d_valid_single_adjoint(grad: &Tensor, ker: &Tensor, h: usize, w: usi
     assert_eq!(oh, h + 1 - kh, "adjoint: grad height mismatch");
     assert_eq!(ow, w + 1 - kw, "adjoint: grad width mismatch");
     let mut out = vec![0.0f32; h * w];
-    conv_valid_adjoint_into(grad.data(), oh, ow, ker.data(), kh, kw, w, &mut out);
+    blur_valid_lanes_adjoint_into(grad.data(), 1, oh, ow, ker.data(), kh, kw, w, &mut out);
     Tensor::from_vec(out, &[h, w])
 }
 

@@ -23,7 +23,7 @@
 //! where `Gᵀ` is the adjoint blur ([`crate::conv::conv2d_valid_single_adjoint`]).
 //! The gradient is verified against finite differences in the tests.
 
-use crate::conv::{conv_single_into, conv_valid_adjoint_into, ConvSpec};
+use crate::conv::{blur_valid_lanes_adjoint_into, blur_valid_lanes_into};
 use crate::{Tensor, Workspace};
 use std::cell::RefCell;
 
@@ -170,6 +170,16 @@ fn window_into(win: usize, out: &mut [f32]) {
     });
 }
 
+/// Copies `planes` planes of `len` elements into plane-interleaved order:
+/// element `i` of plane `pl` lands at `i * planes + pl`.
+fn interleave(src: &[f32], planes: usize, len: usize, out: &mut [f32]) {
+    for (pl, plane) in src.chunks_exact(len).enumerate() {
+        for (i, &v) in plane.iter().enumerate() {
+            out[i * planes + pl] = v;
+        }
+    }
+}
+
 /// Slice-level SSIM over the planes of `x`/`y`, with all scratch drawn
 /// from `ws`.
 ///
@@ -179,6 +189,12 @@ fn window_into(win: usize, out: &mut [f32]) {
 /// tensor op replaced by the identical per-element float expression in the
 /// same order, so values and gradients are bit-identical (verified by
 /// `matches_tensor_reference_bitwise` below).
+///
+/// The planes are processed side by side: the inputs are interleaved so
+/// that one pixel of every plane is contiguous, and the blurs run their
+/// per-element chains with lanes across planes
+/// ([`blur_valid_lanes_into`]). Each plane's own arithmetic, including its
+/// `f64` SSIM sum in pixel order, is unchanged.
 fn ssim_impl_ws(
     x: &Tensor,
     y: &Tensor,
@@ -191,49 +207,51 @@ fn ssim_impl_ws(
     let win = fitting_window(h, w);
     let mut g = ws.take_dirty(win * win);
     window_into(win, &mut g);
-    let spec = ConvSpec::new(1, 0);
     let (oh, ow) = (h - win + 1, w - win + 1);
     let out_len = oh * ow;
     let plane_len = h * w;
-    let grad_len = if want_grad { out_len } else { 0 };
+    // Every buffer below holds all planes, interleaved.
+    let stack = planes * plane_len;
+    let out_stack = planes * out_len;
+    let grad_stack = if want_grad { out_stack } else { 0 };
 
-    let mut prod = ws.take_dirty(plane_len); // x², xy, y² in turn
-    let mut p = ws.take_dirty(out_len);
-    let mut u_y = ws.take_dirty(out_len);
-    let mut q = ws.take_dirty(out_len);
-    let mut r = ws.take_dirty(out_len);
-    let mut yy = ws.take_dirty(out_len);
-    let mut d_p = ws.take_dirty(grad_len);
-    let mut d_q = ws.take_dirty(grad_len);
-    let mut d_r = ws.take_dirty(grad_len);
-    let mut gp = ws.take_dirty(if want_grad { plane_len } else { 0 });
-    let mut gq = ws.take_dirty(if want_grad { plane_len } else { 0 });
-    let mut gr = ws.take_dirty(if want_grad { plane_len } else { 0 });
-    // Zeroed: gradients accumulate across planes.
-    let mut gacc = ws.take(if want_grad { x.len() } else { 0 });
+    let mut xt = ws.take_dirty(stack);
+    let mut yt = ws.take_dirty(stack);
+    interleave(x.data(), planes, plane_len, &mut xt);
+    interleave(y.data(), planes, plane_len, &mut yt);
+    let mut prod = ws.take_dirty(stack); // x², xy, y² in turn
+    let mut p = ws.take_dirty(out_stack);
+    let mut u_y = ws.take_dirty(out_stack);
+    let mut q = ws.take_dirty(out_stack);
+    let mut r = ws.take_dirty(out_stack);
+    let mut yy = ws.take_dirty(out_stack);
+    let mut d_p = ws.take_dirty(grad_stack);
+    let mut d_q = ws.take_dirty(grad_stack);
+    let mut d_r = ws.take_dirty(grad_stack);
+
+    let blur = |src: &[f32], out: &mut [f32]| {
+        blur_valid_lanes_into(src, planes, h, w, &g, win, win, out);
+    };
+    blur(&xt, &mut p); // G*x
+    blur(&yt, &mut u_y); // G*y
+    for (o, &v) in prod.iter_mut().zip(&xt) {
+        *o = v * v;
+    }
+    blur(&prod, &mut q); // G*(x²)
+    for (o, (&a, &b)) in prod.iter_mut().zip(xt.iter().zip(&yt)) {
+        *o = a * b;
+    }
+    blur(&prod, &mut r); // G*(xy)
+    for (o, &v) in prod.iter_mut().zip(&yt) {
+        *o = v * v;
+    }
+    blur(&prod, &mut yy); // G*(y²)
 
     let mut total = 0.0f64;
     let n_out = out_len as f32;
     for pl in 0..planes {
-        let xs = &x.data()[pl * plane_len..(pl + 1) * plane_len];
-        let ys = &y.data()[pl * plane_len..(pl + 1) * plane_len];
-        conv_single_into(xs, h, w, &g, win, win, spec, 0.0, &mut p); // G*x
-        conv_single_into(ys, h, w, &g, win, win, spec, 0.0, &mut u_y); // G*y
-        for (o, &v) in prod.iter_mut().zip(xs) {
-            *o = v * v;
-        }
-        conv_single_into(&prod, h, w, &g, win, win, spec, 0.0, &mut q); // G*(x²)
-        for (o, (&a, &b)) in prod.iter_mut().zip(xs.iter().zip(ys)) {
-            *o = a * b;
-        }
-        conv_single_into(&prod, h, w, &g, win, win, spec, 0.0, &mut r); // G*(xy)
-        for (o, &v) in prod.iter_mut().zip(ys) {
-            *o = v * v;
-        }
-        conv_single_into(&prod, h, w, &g, win, win, spec, 0.0, &mut yy); // G*(y²)
-
         let mut ssim_sum = 0.0f64;
-        for i in 0..out_len {
+        for i in (pl..out_stack).step_by(planes) {
             let pv = p[i];
             let uy = u_y[i];
             let qv = q[i];
@@ -257,28 +275,36 @@ fn ssim_impl_ws(
         }
         let val = (ssim_sum / n_out as f64) as f32;
         total += val as f64;
-        if want_grad {
-            // Pull the three window-statistic gradients back through the blur.
-            conv_valid_adjoint_into(&d_p, oh, ow, &g, win, win, w, &mut gp);
-            conv_valid_adjoint_into(&d_q, oh, ow, &g, win, win, w, &mut gq);
-            conv_valid_adjoint_into(&d_r, oh, ow, &g, win, win, w, &mut gr);
-            let ga = &mut gacc[pl * plane_len..(pl + 1) * plane_len];
-            for i in 0..plane_len {
-                let b = (gp[i] + gq[i] * (xs[i] * 2.0)) + gr[i] * ys[i];
-                ga[i] += b / planes as f32;
-            }
-        }
     }
     let val = (total / planes as f64) as f32;
-    for buf in [g, prod, p, u_y, q, r, yy, d_p, d_q, d_r, gp, gq, gr] {
+
+    let grad = want_grad.then(|| {
+        // Pull the three window-statistic gradients back through the blur
+        // (the adjoint zero-fills its output).
+        let mut gp = ws.take_dirty(stack);
+        let mut gq = ws.take_dirty(stack);
+        let mut gr = ws.take_dirty(stack);
+        blur_valid_lanes_adjoint_into(&d_p, planes, oh, ow, &g, win, win, w, &mut gp);
+        blur_valid_lanes_adjoint_into(&d_q, planes, oh, ow, &g, win, win, w, &mut gq);
+        blur_valid_lanes_adjoint_into(&d_r, planes, oh, ow, &g, win, win, w, &mut gr);
+        // Zeroed: each element takes one `+=`, exactly as the per-plane
+        // accumulation did.
+        let mut gacc = ws.take(x.len());
+        for (pl, ga) in gacc.chunks_exact_mut(plane_len).enumerate() {
+            for (i, a) in ga.iter_mut().enumerate() {
+                let j = i * planes + pl;
+                let b = (gp[j] + gq[j] * (xt[j] * 2.0)) + gr[j] * yt[j];
+                *a += b / planes as f32;
+            }
+        }
+        for buf in [gp, gq, gr] {
+            ws.put(buf);
+        }
+        Tensor::from_vec(gacc, x.shape())
+    });
+    for buf in [g, xt, yt, prod, p, u_y, q, r, yy, d_p, d_q, d_r] {
         ws.put(buf);
     }
-    let grad = if want_grad {
-        Some(Tensor::from_vec(gacc, x.shape()))
-    } else {
-        ws.put(gacc);
-        None
-    };
     (val, grad)
 }
 
@@ -398,6 +424,9 @@ mod tests {
             &[2, 8, 9],
             &[2, 3, 10, 10],
             &[1, 1, 11, 7],
+            // The refine batches of the EfficientNet and ResNet victims.
+            &[16, 3, 20, 20],
+            &[16, 1, 12, 12],
         ];
         for (i, shape) in shapes.iter().enumerate() {
             let x = image(shape, 0.3 * i as f32);

@@ -43,10 +43,12 @@
 /// secondary payload, and integer metadata (shapes, argmax tables).
 ///
 /// Which fields a layer uses is the layer's own contract — a ReLU stores
-/// its input in `vals`, a squeeze-excite block stores input in `vals` and
-/// gate in `extra`, a max pool stores its input shape and argmax table in
-/// `aux`, a convolution stores only its input shape. [`Tape::push`] always
-/// returns all three empty.
+/// its input in `vals`, a SiLU stores its local derivative
+/// `σ(x) + x·σ(x)·(1 − σ(x))` in `vals` (so its `grad` is one multiply),
+/// a squeeze-excite block stores input in `vals` and gate in `extra`, a
+/// max pool stores its input shape and argmax table in `aux`, a
+/// convolution stores only its input shape. [`Tape::push`] always returns
+/// all three empty.
 #[derive(Debug, Default)]
 pub struct Frame {
     /// Primary `f32` payload (usually a copy of the layer input or output).

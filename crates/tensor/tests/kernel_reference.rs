@@ -9,10 +9,18 @@
 //! straddling the `MR`×`NR` register tile, single rows/columns,
 //! non-multiples), dirty workspace buffers, warm packed panels, and the
 //! batched conv paths against their per-image equivalents.
+//!
+//! The single-kernel convolutions — the depthwise forward and input
+//! adjoint, SSIM's valid blur and its adjoint — are pinned the same way
+//! against the per-output loops their row forms replace, over an
+//! exhaustive grid of small geometries and on inputs carrying `-0.0`,
+//! `±inf`, NaN and zero gradients.
 
 use proptest::prelude::*;
 use usb_tensor::conv::{
-    col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, im2col_into, ConvSpec,
+    col2im_into, conv2d_forward_ws, conv2d_input_backward_ws, conv2d_valid_single,
+    conv2d_valid_single_adjoint, depthwise_forward_ws, depthwise_input_backward_ws, im2col_into,
+    ConvSpec,
 };
 use usb_tensor::quant::{f16_decode, Q8_BLOCK};
 use usb_tensor::{ops, Dtype, QTensor, Tensor, Workspace};
@@ -161,6 +169,125 @@ fn naive_decode(q: &QTensor) -> Vec<f32> {
             out
         }
     }
+}
+
+/// Per-output depthwise forward: each output pixel accumulates `bias`
+/// then every in-bounds tap in ascending `(ky, kx)` order.
+#[allow(clippy::too_many_arguments)]
+fn naive_depthwise_forward(
+    x: &[f32],
+    ker: &[f32],
+    bias: Option<&[f32]>,
+    (n, c, h, w): (usize, usize, usize, usize),
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+) -> Vec<f32> {
+    let oh = spec.out_size(h, kh);
+    let ow = spec.out_size(w, kw);
+    let mut out = Vec::with_capacity(n * c * oh * ow);
+    for i in 0..n {
+        for ch in 0..c {
+            let img = &x[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
+            let k = &ker[ch * kh * kw..(ch + 1) * kh * kw];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bias.map_or(0.0, |b| b[ch]);
+                    for ky in 0..kh {
+                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..kw {
+                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            acc += img[iy as usize * w + ix as usize] * k[ky * kw + kx];
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Per-output depthwise input adjoint: outputs visited in ascending
+/// `(oy, ox)` order, zero gradients skipped, `g · ker` scattered over the
+/// in-bounds taps of a zeroed input gradient.
+fn naive_depthwise_input_backward(
+    ker: &[f32],
+    go: &[f32],
+    (n, c, h, w): (usize, usize, usize, usize),
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+) -> Vec<f32> {
+    let oh = spec.out_size(h, kh);
+    let ow = spec.out_size(w, kw);
+    let mut gi = vec![0.0f32; n * c * h * w];
+    for i in 0..n {
+        for ch in 0..c {
+            let k = &ker[ch * kh * kw..(ch + 1) * kh * kw];
+            let g_plane = &go[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
+            let plane = &mut gi[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = g_plane[oy * ow + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ky in 0..kh {
+                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..kw {
+                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            plane[iy as usize * w + ix as usize] += g * k[ky * kw + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    gi
+}
+
+/// The platform's default NaN (what `inf · 0` produces), made at run time
+/// so constant folding cannot substitute another payload. Using it for
+/// every NaN input keeps all NaNs in a computation bit-identical, so the
+/// bitwise comparison does not hinge on which NaN operand an addition
+/// propagates.
+fn default_nan() -> f32 {
+    std::hint::black_box(f32::INFINITY) * 0.0
+}
+
+/// `len` values from a fixed LCG: finite draws in `[-1.5, 1.5)`, with
+/// exact `0.0`/`-0.0` mixed in, and — when `spikes` is set — every 11th
+/// element (offset by `seed`) replaced in turn by `+inf`, NaN, `-inf`.
+fn special_mix(len: usize, seed: u32, spikes: bool) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9) | 1;
+    let specials = [f32::INFINITY, default_nan(), f32::NEG_INFINITY];
+    (0..len)
+        .map(|i| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let u = (state >> 8) as f32 / (1u32 << 24) as f32;
+            if spikes && (i + seed as usize) % 11 == 5 {
+                return specials[(i / 11) % specials.len()];
+            }
+            match state % 10 {
+                0 => 0.0,
+                5 => -0.0,
+                _ => 3.0 * u - 1.5,
+            }
+        })
+        .collect()
 }
 
 /// A workspace whose pool is pre-seeded with NaN-filled buffers, so any
@@ -437,4 +564,153 @@ proptest! {
             }
         }
     }
+}
+
+/// Depthwise forward and input adjoint against their per-output loops on
+/// every small geometry: stride 1 and 2, pad 0–2, kernel sides 1/3/5 in
+/// each direction, planes from 1×1 up, with and without bias, on finite
+/// data and on data with `±inf`/NaN spikes, from a NaN-dirty workspace
+/// and again from the warm pool.
+#[test]
+fn depthwise_row_form_matches_per_output_loops_bitwise() {
+    let (n, c) = (2, 3);
+    let mut cases = 0;
+    for stride in 1..=2 {
+        for pad in 0..=2 {
+            let spec = ConvSpec::new(stride, pad);
+            for kh in [1, 3, 5] {
+                for kw in [1, 3, 5] {
+                    for h in [1, 2, 3, 4, 7, 10] {
+                        for w in [1, 2, 3, 5, 8, 13] {
+                            if h + 2 * pad < kh || w + 2 * pad < kw {
+                                continue;
+                            }
+                            for spikes in [false, true] {
+                                let dims = (n, c, h, w);
+                                let seed = (cases % 97) as u32;
+                                check_depthwise_case(dims, kh, kw, spec, spikes, seed);
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 1000, "grid too small: {cases}");
+}
+
+fn check_depthwise_case(
+    dims: (usize, usize, usize, usize),
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+    spikes: bool,
+    seed: u32,
+) {
+    let (n, c, h, w) = dims;
+    let (oh, ow) = (spec.out_size(h, kh), spec.out_size(w, kw));
+    let what = format!("{dims:?} k {kh}x{kw} {spec:?} spikes {spikes}");
+    let x = Tensor::from_vec(special_mix(n * c * h * w, seed, spikes), &[n, c, h, w]);
+    // Spikes in the kernel too, so a zero gradient meets an infinite tap.
+    let ker = Tensor::from_vec(
+        special_mix(c * kh * kw, seed + 1, spikes && kh * kw > 1),
+        &[c, 1, kh, kw],
+    );
+    let bias = Tensor::from_vec(special_mix(c, seed + 2, false), &[c]);
+    let go = Tensor::from_vec(
+        special_mix(n * c * oh * ow, seed + 3, spikes),
+        &[n, c, oh, ow],
+    );
+    let want_gi = naive_depthwise_input_backward(ker.data(), go.data(), dims, kh, kw, spec);
+    let mut ws = dirty_workspace();
+    for round in 0..2 {
+        for b in [None, Some(&bias)] {
+            let want = naive_depthwise_forward(
+                x.data(),
+                ker.data(),
+                b.map(Tensor::data),
+                dims,
+                kh,
+                kw,
+                spec,
+            );
+            let got = depthwise_forward_ws(&x, &ker, b, spec, &mut ws);
+            assert_eq!(got.shape(), &[n, c, oh, ow]);
+            let label = format!(
+                "depthwise forward {what} bias {} (round {round})",
+                b.is_some()
+            );
+            assert_bits_eq(got.data(), &want, &label);
+            ws.recycle(got);
+        }
+        let gi = depthwise_input_backward_ws(&ker, &go, h, w, spec, &mut ws);
+        assert_bits_eq(
+            gi.data(),
+            &want_gi,
+            &format!("depthwise input backward {what} (round {round})"),
+        );
+        ws.recycle(gi);
+    }
+}
+
+/// SSIM's valid blur and its adjoint against their per-output loops, on
+/// windows up to SSIM's 11×11 and outputs on both sides of the narrow-row
+/// cut-over (1 to 10 columns wide), with `±inf`/NaN spikes and zero
+/// gradients.
+#[test]
+fn valid_blur_and_adjoint_match_per_output_loops_bitwise() {
+    let mut cases = 0;
+    for k in [1, 3, 5, 11] {
+        for h in [k, k + 1, k + 3, k + 9] {
+            for w in [k, k + 1, k + 2, k + 3, k + 4, k + 9] {
+                for spikes in [false, true] {
+                    let seed = (cases % 89) as u32;
+                    let (oh, ow) = (h - k + 1, w - k + 1);
+                    let what = format!("{h}x{w} k {k} spikes {spikes}");
+                    let img = special_mix(h * w, seed, spikes);
+                    // Kernel spikes let a zero gradient meet an infinite tap.
+                    let ker = special_mix(k * k, seed + 1, spikes && k > 1);
+                    let grad = special_mix(oh * ow, seed + 2, spikes);
+
+                    let mut want = Vec::with_capacity(oh * ow);
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut acc = 0.0f32;
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    acc += img[(oy + ky) * w + ox + kx] * ker[ky * k + kx];
+                                }
+                            }
+                            want.push(acc);
+                        }
+                    }
+                    let mut want_adj = vec![0.0f32; h * w];
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let g = grad[oy * ow + ox];
+                            if g == 0.0 {
+                                continue;
+                            }
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    want_adj[(oy + ky) * w + ox + kx] += g * ker[ky * k + kx];
+                                }
+                            }
+                        }
+                    }
+
+                    let img_t = Tensor::from_vec(img, &[h, w]);
+                    let ker_t = Tensor::from_vec(ker, &[k, k]);
+                    let grad_t = Tensor::from_vec(grad, &[oh, ow]);
+                    let got = conv2d_valid_single(&img_t, &ker_t);
+                    assert_bits_eq(got.data(), &want, &format!("valid blur {what}"));
+                    let got_adj = conv2d_valid_single_adjoint(&grad_t, &ker_t, h, w);
+                    assert_bits_eq(got_adj.data(), &want_adj, &format!("valid adjoint {what}"));
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases > 150, "grid too small: {cases}");
 }

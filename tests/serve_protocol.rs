@@ -352,3 +352,65 @@ fn garbage_bundle_payload_gets_an_error_frame_and_the_connection_survives() {
     assert_eq!(stats.failed, 1, "exactly one job failed (the garbage one)");
     assert_eq!(stats.completed, 1, "the real job completed");
 }
+
+/// A bundle that decodes cleanly but panics the job — its recipe's
+/// negative pixel-noise bound trips an assertion in dataset regeneration —
+/// is answered with an error frame and a `failed` count, and the scheduler
+/// thread survives to inspect the next bundle. A bundle whose recipe does
+/// not fit the model is turned away at decode time, before any job runs.
+#[test]
+fn a_panicking_job_is_isolated_and_a_good_bundle_still_gets_its_verdict() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let good = serve_util::bundle_bytes(serve_util::FIXTURE_DATA_SEED);
+    let misfit = serve_util::bundle_bytes_with_recipe(|spec| {
+        let h = spec.height;
+        spec.with_size(h + 4)
+    });
+    let poisoned = serve_util::bundle_bytes_with_recipe(|mut spec| {
+        spec.noise = -1.0;
+        spec
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(600)))
+        .expect("setting a read timeout");
+    let opts = SubmitOptions {
+        tag: 1,
+        seed: 17,
+        subset: 32,
+        workers: 1,
+        fast: true,
+    };
+    for (tag, bytes, expected) in [
+        (1, &misfit, "does not fit the model"),
+        (2, &poisoned, "inspection panicked"),
+    ] {
+        let opts = SubmitOptions { tag, ..opts };
+        match client.inspect(bytes, &opts, |_| {}) {
+            Err(ClientError::Server {
+                tag: echoed,
+                message,
+                ..
+            }) => {
+                assert_eq!(echoed, tag, "the error frame must echo the request tag");
+                assert!(
+                    message.contains(expected),
+                    "unexpected error message: {message}"
+                );
+            }
+            Err(other) => panic!("expected a server error frame, got {other}"),
+            Ok(_) => panic!("bundle {tag} cannot produce a verdict"),
+        }
+    }
+
+    let opts = SubmitOptions { tag: 3, ..opts };
+    let verdict = client
+        .inspect(&good, &opts, |_| {})
+        .expect("the scheduler must survive a panicking job");
+    assert_eq!(verdict.per_class.len(), 4);
+    let stats = server.stop();
+    assert_eq!(stats.failed, 2, "the misfit and the panicking job failed");
+    assert_eq!(stats.completed, 1, "the good job completed");
+}

@@ -9,7 +9,7 @@
 
 #![allow(dead_code)] // each test binary uses a different subset of this
 
-use universal_soldier::attacks::persist::{write_victim, write_victim_dtype};
+use universal_soldier::attacks::persist::write_victim_dtype;
 use universal_soldier::prelude::*;
 use universal_soldier::tensor::Dtype;
 
@@ -58,36 +58,37 @@ pub fn small_victim() -> (Dataset, Victim) {
 /// suite uses that to stream "different" models at the resident cache
 /// without training more than one victim.
 pub fn bundle_bytes(data_seed: u64) -> Vec<u8> {
-    let fixture = fixture_spec();
-    let config_hash = fixture.config_hash;
-    let (_, victim) = small_victim();
-    let mut bundle = VictimBundle {
-        victim,
-        train_seed: FIXTURE_TRAIN_SEED,
-        config_hash,
-        data_spec: fixture.data_spec,
-        data_seed,
-    };
-    let mut out = Vec::new();
-    write_victim(&mut out, &mut bundle).expect("serialising the fixture bundle cannot fail");
-    out
+    encode(data_seed, fixture_spec().data_spec, Dtype::F32)
 }
 
 /// Like [`bundle_bytes`], but stores the weight bank at `dtype` — the
 /// low-precision twin of the f32 fixture bundle.
 pub fn bundle_bytes_dtype(data_seed: u64, dtype: Dtype) -> Vec<u8> {
-    let fixture = fixture_spec();
-    let config_hash = fixture.config_hash;
+    encode(data_seed, fixture_spec().data_spec, dtype)
+}
+
+/// The fixture bundle with its stored data recipe passed through `edit`:
+/// well-formed bytes with valid checksums whose recipe may disagree with
+/// the model or make regeneration fail.
+pub fn bundle_bytes_with_recipe(edit: impl FnOnce(SyntheticSpec) -> SyntheticSpec) -> Vec<u8> {
+    encode(
+        FIXTURE_DATA_SEED,
+        edit(fixture_spec().data_spec),
+        Dtype::F32,
+    )
+}
+
+fn encode(data_seed: u64, data_spec: SyntheticSpec, dtype: Dtype) -> Vec<u8> {
     let (_, victim) = small_victim();
     let mut bundle = VictimBundle {
         victim,
         train_seed: FIXTURE_TRAIN_SEED,
-        config_hash,
-        data_spec: fixture.data_spec,
+        config_hash: fixture_spec().config_hash,
+        data_spec,
         data_seed,
     };
     let mut out = Vec::new();
     write_victim_dtype(&mut out, &mut bundle, dtype)
-        .expect("serialising the quantized fixture bundle cannot fail");
+        .expect("serialising the fixture bundle cannot fail");
     out
 }
